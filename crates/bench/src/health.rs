@@ -84,11 +84,22 @@ pub struct MetricDelta {
     pub pct: f64,
 }
 
+/// Prefixes of metrics carrying host wall-clock: the pool scheduler's
+/// `sched.*` and the step graph's measured `task.*` times and queue
+/// depth. `tests/perf_gate.py` keeps the same list.
+pub const VOLATILE_PREFIXES: &[&str] = &[
+    "sched.",
+    "task.ready_latency_s",
+    "task.busy_s",
+    "task.wall_s",
+    "task.queue_depth.max",
+];
+
 /// True for metrics carrying host wall-clock (scheduler busy/barrier
 /// times, queue depths under OS scheduling) — excluded from regression
 /// ranking because they are not reproducible across machines.
 pub fn is_volatile(name: &str) -> bool {
-    name.starts_with("sched.")
+    VOLATILE_PREFIXES.iter().any(|p| name.starts_with(p))
 }
 
 /// Collects the health report at the standard configuration.
@@ -630,7 +641,32 @@ mod tests {
         }
         assert!(
             regressions(&other, &report).is_empty(),
-            "sched.* wall-clock noise must not rank as a regression"
+            "sched.*/task.* wall-clock noise must not rank as a regression"
         );
+        // The step graph's shape counters are deterministic and gated.
+        let names: Vec<&str> = report.archs[0]
+            .metrics
+            .iter()
+            .map(|m| m.name.as_str())
+            .collect();
+        for name in ["task.nodes", "task.edges", "task.executed", "task.wall_s"] {
+            assert!(names.contains(&name), "{name} missing from the registry");
+        }
+        assert!(!is_volatile("task.nodes") && !is_volatile("task.executed"));
+        assert!(is_volatile("task.busy_s") && is_volatile("sched.steals"));
+    }
+
+    #[test]
+    fn volatile_list_matches_the_perf_gate() {
+        let script = std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/perf_gate.py"),
+        )
+        .expect("tests/perf_gate.py is readable");
+        let line = script
+            .lines()
+            .find(|l| l.starts_with("VOLATILE_PREFIXES = "))
+            .expect("perf_gate.py defines VOLATILE_PREFIXES on one line");
+        let listed: Vec<&str> = line.split('"').skip(1).step_by(2).collect();
+        assert_eq!(listed, VOLATILE_PREFIXES, "keep the two lists in sync");
     }
 }

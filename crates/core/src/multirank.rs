@@ -13,10 +13,16 @@
 //!    face need no ghosts, so their forces run while the halo
 //!    exchange is in flight (this is the comm/compute overlap the
 //!    sweep measures);
-//! 4. **wait + compute boundary** — the exchange barrier delivers
-//!    ghosts and the remaining particles finish against them;
+//! 4. **wait + compute boundary** — once its neighbors' halos are
+//!    delivered, each rank finishes the remaining particles against
+//!    the ghosts;
 //! 5. **kick/drift + allreduce** — local update, then a deterministic
 //!    global reduction for diagnostics.
+//!
+//! The phases are per-rank tasks of one task graph
+//! ([`MultiRankSim::step`]). The barriered and async schedules differ
+//! only in the phase-barrier edges and in the modeled timeline they
+//! report.
 //!
 //! Determinism is bit-exact by construction at *any* rank count and
 //! any thread count: rank state is kept sorted by global particle id,
@@ -40,7 +46,6 @@ use hacc_comm::{
 };
 use hacc_telemetry::Recorder;
 use hacc_tree::min_image;
-use rayon::prelude::*;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -103,55 +108,19 @@ impl MultiRankProblem {
     }
 }
 
-/// Per-rank particle store, always sorted by global id.
-#[derive(Clone, Debug, Default)]
-struct RankState {
-    ids: Vec<u64>,
-    pos: Vec<[f64; 3]>,
-    mom: Vec<[f64; 3]>,
-    mass: Vec<f64>,
-    h: Vec<f64>,
-    u: Vec<f64>,
-}
+/// Per-rank particle store, always sorted by global id: the same
+/// structure of arrays the transport puts on the wire.
+type RankState = ParticleBatch;
 
-impl RankState {
-    fn len(&self) -> usize {
-        self.ids.len()
+/// Restores ascending-id order after absorbing immigrants or ghosts.
+fn sort_by_id(state: &mut RankState) {
+    let mut order: Vec<usize> = (0..state.len()).collect();
+    order.sort_by_key(|&k| state.ids[k]);
+    let mut sorted = RankState::default();
+    for k in order {
+        sorted.push_from(state, k);
     }
-
-    fn push(&mut self, id: u64, pos: [f64; 3], mom: [f64; 3], mass: f64, h: f64, u: f64) {
-        self.ids.push(id);
-        self.pos.push(pos);
-        self.mom.push(mom);
-        self.mass.push(mass);
-        self.h.push(h);
-        self.u.push(u);
-    }
-
-    fn absorb(&mut self, batch: &ParticleBatch) {
-        for k in 0..batch.len() {
-            self.push(
-                batch.ids[k],
-                batch.pos[k],
-                batch.mom[k],
-                batch.mass[k],
-                batch.h[k],
-                batch.u[k],
-            );
-        }
-    }
-
-    /// Restores ascending-id order after absorbing immigrants.
-    fn sort_by_id(&mut self) {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_by_key(|&k| self.ids[k]);
-        self.ids = order.iter().map(|&k| self.ids[k]).collect();
-        self.pos = order.iter().map(|&k| self.pos[k]).collect();
-        self.mom = order.iter().map(|&k| self.mom[k]).collect();
-        self.mass = order.iter().map(|&k| self.mass[k]).collect();
-        self.h = order.iter().map(|&k| self.h[k]).collect();
-        self.u = order.iter().map(|&k| self.u[k]).collect();
-    }
+    *state = sorted;
 }
 
 /// One step's accounting for one rank.
@@ -183,13 +152,14 @@ pub struct RankStepStats {
     /// `migrate + max(halo, interior) + boundary`.
     pub step_seconds: f64,
     /// Idle seconds this rank's processor spends waiting on other
-    /// ranks. Under the barriered schedule this is barrier idle —
-    /// node seconds minus this rank's step, the time pinned at the
-    /// global join. Under the async schedule no such join exists (the
-    /// scheduler feeds an early-finishing rank its next ready task),
-    /// so this is the in-step message stall instead: idle before the
-    /// migrate absorb plus idle before boundary compute while ghosts
-    /// are still in flight.
+    /// ranks. Under the barriered schedule (the step graph plus its
+    /// phase-barrier edges) this is barrier idle — node seconds minus
+    /// this rank's step, the time pinned at the global join. Under the
+    /// async schedule the graph has no such join (the scheduler feeds
+    /// an early-finishing rank its next ready task), so this is the
+    /// in-step message stall instead, from per-source readiness: idle
+    /// before the migrate absorb plus idle before boundary compute
+    /// while neighbors' ghosts are still in flight.
     pub wait_seconds: f64,
 }
 
@@ -229,8 +199,8 @@ pub struct MultiRankSim {
     fault_config: Option<FaultConfig>,
     states: Vec<RankState>,
     step_count: u64,
-    /// When true, [`Self::step`] runs on the task-graph executor
-    /// instead of the barriered reference schedule.
+    /// When true, [`Self::step`] leaves out the phase-barrier edges and
+    /// reports the per-source readiness timeline.
     async_step: bool,
     /// Seconds per in-cutoff pair on this architecture.
     pair_seconds: f64,
@@ -306,16 +276,18 @@ impl MultiRankSim {
         }
     }
 
-    /// Switches between the barriered reference schedule and the
-    /// asynchronous task-graph schedule (also selectable at
-    /// construction with `HACC_ASYNC=1`). Both schedules produce
-    /// bit-identical particle state; only the modeled timeline and
-    /// the `task.*` telemetry differ.
+    /// Switches between the barriered and the async schedule (also
+    /// selectable at construction with `HACC_ASYNC=1`). Both run the
+    /// same step graph; this chooses only whether the phase-barrier
+    /// edges are added and which modeled timeline fills
+    /// [`RankStepStats`] — the global join or per-source readiness.
+    /// Particle state and [`TransportStats`] are bit-identical across
+    /// the two.
     pub fn set_async(&mut self, on: bool) {
         self.async_step = on;
     }
 
-    /// True when steps run on the task-graph executor.
+    /// True when steps run without the phase-barrier edges.
     pub fn is_async(&self) -> bool {
         self.async_step
     }
@@ -405,297 +377,35 @@ impl MultiRankSim {
         hash
     }
 
-    /// Advances one step through the full communication schedule,
-    /// dispatching to the barriered reference schedule or the
-    /// asynchronous task-graph schedule per [`Self::set_async`].
-    pub fn step(&mut self) -> Result<StepStats, CommError> {
-        if self.async_step {
-            self.step_async()
-        } else {
-            self.step_barriered()
-        }
-    }
-
-    /// The barriered reference schedule described in the module docs:
-    /// every phase drains at a global exchange barrier.
-    fn step_barriered(&mut self) -> Result<StepStats, CommError> {
-        let ranks = self.layout.ranks;
-        let r_cut = self.problem.r_cut;
-        let ng = self.problem.ng as f64;
-        // Opened before the exchanges so every link span this step emits
-        // nests under it; closed when the method returns.
-        let recorder = self.recorder.clone();
-        let _step_span = recorder.as_ref().map(|r| r.span("step"));
-
-        // ------ Phase 1: migration. Each rank splits off particles
-        // whose drifted position now falls in another domain and posts
-        // them (ascending destination) to their new owners.
-        let layout = self.layout.clone();
-        let transport = &self.transport;
-        let old_states = std::mem::take(&mut self.states);
-        let mut migrated = 0u64;
-        let kept: Vec<(RankState, u64)> = old_states
-            .into_par_iter()
-            .zip(0..ranks)
-            .map(|(state, rank)| {
-                let mut keep = RankState::default();
-                let mut outgoing: BTreeMap<usize, ParticleBatch> = BTreeMap::new();
-                let mut moved = 0u64;
-                for k in 0..state.len() {
-                    let owner = layout.rank_of(&state.pos[k]);
-                    if owner == rank {
-                        keep.push(
-                            state.ids[k],
-                            state.pos[k],
-                            state.mom[k],
-                            state.mass[k],
-                            state.h[k],
-                            state.u[k],
-                        );
-                    } else {
-                        moved += 1;
-                        outgoing.entry(owner).or_default().push(
-                            state.ids[k],
-                            state.pos[k],
-                            state.mom[k],
-                            state.mass[k],
-                            state.h[k],
-                            state.u[k],
-                        );
-                    }
-                }
-                for (dst, batch) in outgoing {
-                    transport.send(rank, dst, Tag::Migrate, batch);
-                }
-                (keep, moved)
-            })
-            .collect();
-        let migrate_report = self.transport.exchange()?;
-        let mut states: Vec<RankState> = kept
-            .into_iter()
-            .map(|(keep, moved)| {
-                migrated += moved;
-                keep
-            })
-            .collect();
-        states
-            .par_iter_mut()
-            .zip(0..ranks)
-            .for_each(|(state, rank)| {
-                let mut touched = false;
-                for msg in transport.take_inbox(rank) {
-                    state.absorb(&msg.batch);
-                    touched = true;
-                }
-                if touched {
-                    state.sort_by_id();
-                }
-            });
-
-        // ------ Phase 2: post halos, then compute interior forces
-        // while the exchange is notionally in flight. A particle is
-        // interior when every split dimension keeps it ≥ r_cut from
-        // both domain faces; its whole interaction ball is then owned.
-        let accel: Vec<(Vec<[f64; 3]>, Vec<bool>, u64)> = states
-            .par_iter()
-            .zip(0..ranks)
-            .map(|(state, rank)| {
-                let mut outgoing: BTreeMap<usize, ParticleBatch> = BTreeMap::new();
-                for k in 0..state.len() {
-                    for dst in layout.ghost_targets(&state.pos[k], r_cut) {
-                        outgoing.entry(dst).or_default().push(
-                            state.ids[k],
-                            state.pos[k],
-                            state.mom[k],
-                            state.mass[k],
-                            state.h[k],
-                            state.u[k],
-                        );
-                    }
-                }
-                for (dst, batch) in outgoing {
-                    transport.send(rank, dst, Tag::Halo, batch);
-                }
-
-                let (lo, hi) = layout.domain(rank);
-                let interior: Vec<bool> = (0..state.len())
-                    .map(|k| {
-                        (0..3).all(|d| {
-                            layout.dims[d] == 1
-                                || (state.pos[k][d] - lo[d] >= r_cut
-                                    && hi[d] - state.pos[k][d] >= r_cut)
-                        })
-                    })
-                    .collect();
-
-                let mut acc = vec![[0.0f64; 3]; state.len()];
-                let mut pairs = 0u64;
-                for k in 0..state.len() {
-                    if interior[k] {
-                        pairs += accumulate(
-                            &mut acc[k],
-                            state.ids[k],
-                            &state.pos[k],
-                            state.ids.iter().copied(),
-                            &state.pos,
-                            &state.mass,
-                            ng,
-                            r_cut,
-                            self.problem.eps,
-                        );
-                    }
-                }
-                (acc, interior, pairs)
-            })
-            .collect();
-        let halo_report = self.transport.exchange()?;
-
-        // ------ Phase 3: deliver ghosts, finish boundary particles
-        // against owned + ghost neighbors (merged ascending-id, the
-        // canonical order), then kick and drift everything.
-        let dt = self.problem.dt;
-        let eps = self.problem.eps;
-        let results: Vec<(RankState, u64, u64, usize)> = states
-            .into_par_iter()
-            .zip(accel)
-            .zip(0..ranks)
-            .map(|((mut state, (mut acc, interior, interior_pairs)), rank)| {
-                let mut ghosts = RankState::default();
-                for msg in transport.take_inbox(rank) {
-                    ghosts.absorb(&msg.batch);
-                }
-                ghosts.sort_by_id();
-
-                // Merged candidate list: ids and positions of owned +
-                // ghost neighbors, ascending id (owned and ghost sets
-                // are disjoint by construction).
-                let n_own = state.len();
-                let mut cand_ids: Vec<u64> = Vec::with_capacity(n_own + ghosts.len());
-                let mut cand_pos: Vec<[f64; 3]> = Vec::with_capacity(n_own + ghosts.len());
-                let mut cand_mass: Vec<f64> = Vec::with_capacity(n_own + ghosts.len());
-                let mut i = 0;
-                let mut j = 0;
-                while i < n_own || j < ghosts.len() {
-                    let take_own = j >= ghosts.len() || (i < n_own && state.ids[i] < ghosts.ids[j]);
-                    if take_own {
-                        cand_ids.push(state.ids[i]);
-                        cand_pos.push(state.pos[i]);
-                        cand_mass.push(state.mass[i]);
-                        i += 1;
-                    } else {
-                        cand_ids.push(ghosts.ids[j]);
-                        cand_pos.push(ghosts.pos[j]);
-                        cand_mass.push(ghosts.mass[j]);
-                        j += 1;
-                    }
-                }
-
-                let mut boundary_pairs = 0u64;
-                for k in 0..state.len() {
-                    if !interior[k] {
-                        boundary_pairs += accumulate(
-                            &mut acc[k],
-                            state.ids[k],
-                            &state.pos[k],
-                            cand_ids.iter().copied(),
-                            &cand_pos,
-                            &cand_mass,
-                            ng,
-                            r_cut,
-                            eps,
-                        );
-                    }
-                }
-
-                for k in 0..state.len() {
-                    for c in 0..3 {
-                        state.mom[k][c] += state.mass[k] * acc[k][c] * dt;
-                        let mut x = state.pos[k][c] + state.mom[k][c] / state.mass[k] * dt;
-                        x = x.rem_euclid(ng);
-                        if x >= ng {
-                            x = 0.0;
-                        }
-                        state.pos[k][c] = x;
-                    }
-                }
-                let n_ghosts = ghosts.len();
-                (state, interior_pairs, boundary_pairs, n_ghosts)
-            })
-            .collect();
-
-        // ------ Phase 4: deterministic diagnostics allreduce and the
-        // per-rank cost model.
-        let mut per_rank = Vec::with_capacity(ranks);
-        let mut ke_parts = Vec::with_capacity(ranks);
-        let mut new_states = Vec::with_capacity(ranks);
-        for (rank, (state, interior_pairs, boundary_pairs, n_ghosts)) in
-            results.into_iter().enumerate()
-        {
-            let mut ke = 0.0f64;
-            for k in 0..state.len() {
-                let m = state.mass[k];
-                let p2: f64 = state.mom[k].iter().map(|p| p * p).sum();
-                ke += 0.5 * p2 / m;
-            }
-            ke_parts.push(ke);
-
-            let interior_seconds = interior_pairs as f64 * self.pair_seconds
-                + state.len() as f64 * self.particle_seconds;
-            let boundary_seconds = boundary_pairs as f64 * self.pair_seconds;
-            let halo_seconds = halo_report.rank_seconds(rank);
-            let migrate_seconds = migrate_report.rank_seconds(rank);
-            let overlap_seconds = halo_seconds.min(interior_seconds);
-            per_rank.push(RankStepStats {
-                rank,
-                owned: state.len(),
-                ghosts: n_ghosts,
-                interior_pairs,
-                boundary_pairs,
-                interior_seconds,
-                boundary_seconds,
-                halo_seconds,
-                migrate_seconds,
-                bytes_sent: halo_report.rank_bytes_sent(rank)
-                    + migrate_report.rank_bytes_sent(rank),
-                overlap_seconds,
-                step_seconds: migrate_seconds
-                    + halo_seconds.max(interior_seconds)
-                    + boundary_seconds,
-                wait_seconds: 0.0,
-            });
-            new_states.push(state);
-        }
-        self.states = new_states;
-        Ok(self.emit_step_stats(
-            recorder.as_ref(),
-            per_rank,
-            migrated,
-            migrate_report.bytes + halo_report.bytes,
-            ke_parts,
-            true,
-        ))
-    }
-
-    /// The asynchronous task-graph schedule: the same physics as the
-    /// barriered path, but per-rank migrate flushes, absorbs, halo
-    /// posts, interior compute, and boundary compute are task nodes
-    /// scheduled as their dependencies resolve — a rank whose
-    /// 27-neighborhood has flushed starts its boundary compute while
-    /// other ranks are still exchanging, and no global join exists
-    /// anywhere in the step.
+    /// Advances one step. The step is one task graph with five task
+    /// kinds per rank: `mig.r` splits off emigrants and flushes them,
+    /// `abs.r` absorbs immigrants, `post.r` flushes halo ghosts, `int.r`
+    /// computes interior forces while the halos are on the wire, and
+    /// `bnd.r` computes boundary forces against the ghosts, then kicks
+    /// and drifts.
     ///
-    /// Bit-identical to the barriered reference by construction:
-    /// [`Transport::flush_source`] assigns the same per-source
-    /// `(src, seq)` stream the exchange barrier would, tagged inbox
-    /// takes sort canonically, and every force accumulation keeps its
-    /// ascending-id order (the distributed analogue of the deferred-
-    /// atomic replay rule — interleavings change nothing).
-    fn step_async(&mut self) -> Result<StepStats, CommError> {
+    /// Both schedules ([`Self::set_async`]) run this one graph. The
+    /// barriered schedule adds phase-barrier edges: every `post.r` runs
+    /// after every `abs.*`, and every `bnd.r` after every `post.*`. The
+    /// async schedule leaves them out, so a rank whose 27-neighborhood
+    /// has flushed starts its boundary compute while other ranks are
+    /// still exchanging. The schedule also picks the modeled timeline
+    /// that fills [`RankStepStats`].
+    ///
+    /// Particle bits and [`TransportStats`] are the same in both
+    /// schedules and at any thread count. Each source's flush assigns
+    /// the same `(src, seq)` stream whatever runs beside it, inbox
+    /// takes sort canonically, every force accumulates in ascending-id
+    /// order, and each phase's flush reports are committed to the
+    /// transport ledger in ascending source order after the graph ran.
+    pub fn step(&mut self) -> Result<StepStats, CommError> {
         let ranks = self.layout.ranks;
         let r_cut = self.problem.r_cut;
         let ng = self.problem.ng as f64;
         let dt = self.problem.dt;
         let eps = self.problem.eps;
+        // Opened before the graph runs so every span its tasks emit
+        // nests under it; closed when the method returns.
         let recorder = self.recorder.clone();
         let _step_span = recorder.as_ref().map(|r| r.span("step"));
 
@@ -724,8 +434,9 @@ impl MultiRankSim {
             .map(|r| ResourceId::indexed("rank.acc", r))
             .collect();
 
-        // mig.r — split off emigrants, post them ascending-destination,
-        // flush this source's wire. Writes state.r.
+        // mig.r — split off particles whose drifted position now falls
+        // in another domain, post them ascending-destination, flush
+        // this source's wire. Writes state.r.
         let mut mig_ids = Vec::with_capacity(ranks);
         for rank in 0..ranks {
             let (states, mig_out, layout) = (&states, &mig_out, &layout);
@@ -741,24 +452,10 @@ impl MultiRankSim {
                     for k in 0..state.len() {
                         let owner = layout.rank_of(&state.pos[k]);
                         if owner == rank {
-                            keep.push(
-                                state.ids[k],
-                                state.pos[k],
-                                state.mom[k],
-                                state.mass[k],
-                                state.h[k],
-                                state.u[k],
-                            );
+                            keep.push_from(&state, k);
                         } else {
                             moved += 1;
-                            outgoing.entry(owner).or_default().push(
-                                state.ids[k],
-                                state.pos[k],
-                                state.mom[k],
-                                state.mass[k],
-                                state.h[k],
-                                state.u[k],
-                            );
+                            outgoing.entry(owner).or_default().push_from(&state, k);
                         }
                     }
                     *state = keep;
@@ -777,6 +474,7 @@ impl MultiRankSim {
         // Message arrival is a hazard the resource sets cannot see, so
         // the edges are explicit (migration may cross any face, so any
         // source is a potential sender). Writes state.r.
+        let mut abs_ids = Vec::with_capacity(ranks);
         for rank in 0..ranks {
             let states = &states;
             let id = graph.add_task(format!("abs.{rank}"), &[], &[state_res[rank]], move || {
@@ -784,9 +482,9 @@ impl MultiRankSim {
                 if !msgs.is_empty() {
                     let mut state = states[rank].lock().unwrap();
                     for msg in &msgs {
-                        state.absorb(&msg.batch);
+                        state.extend_from(&msg.batch);
                     }
-                    state.sort_by_id();
+                    sort_by_id(&mut state);
                 }
                 Ok(())
             });
@@ -795,10 +493,12 @@ impl MultiRankSim {
                     .add_dep(id, m)
                     .expect("migrate flushes precede absorbs in canonical order");
             }
+            abs_ids.push(id);
         }
 
-        // post.r — post halo ghosts ascending-destination and flush
-        // this source's wire. Reads state.r.
+        // post.r — post halo copies of boundary particles to every
+        // neighbor whose expanded domain reaches them, ascending
+        // destination, and flush this source's wire. Reads state.r.
         let mut post_ids = Vec::with_capacity(ranks);
         for rank in 0..ranks {
             let (states, halo_out, layout) = (&states, &halo_out, &layout);
@@ -811,14 +511,7 @@ impl MultiRankSim {
                     let mut outgoing: BTreeMap<usize, ParticleBatch> = BTreeMap::new();
                     for k in 0..state.len() {
                         for dst in layout.ghost_targets(&state.pos[k], r_cut) {
-                            outgoing.entry(dst).or_default().push(
-                                state.ids[k],
-                                state.pos[k],
-                                state.mom[k],
-                                state.mass[k],
-                                state.h[k],
-                                state.u[k],
-                            );
+                            outgoing.entry(dst).or_default().push_from(&state, k);
                         }
                     }
                     drop(state);
@@ -832,9 +525,10 @@ impl MultiRankSim {
             ));
         }
 
-        // int.r — interior forces (whole interaction ball owned, no
-        // ghosts needed), overlapping the halo wire. Reads state.r,
-        // writes acc.r.
+        // int.r — interior forces. A particle is interior when every
+        // split dimension keeps it ≥ r_cut from both domain faces; its
+        // whole interaction ball is then owned, so it needs no ghosts
+        // and overlaps the halo wire. Reads state.r, writes acc.r.
         for rank in 0..ranks {
             let (states, int_out, layout) = (&states, &int_out, &layout);
             graph.add_task(
@@ -881,6 +575,7 @@ impl MultiRankSim {
         // ascending-id candidate list, then kick and drift. Reads
         // acc.r, writes state.r and acc.r (the WAR edges on post.r and
         // int.r come from the state.r read set).
+        let mut bnd_ids = Vec::with_capacity(ranks);
         for rank in 0..ranks {
             let (states, int_out, bnd_out) = (&states, &int_out, &bnd_out);
             let id = graph.add_task(
@@ -890,9 +585,9 @@ impl MultiRankSim {
                 move || {
                     let mut ghosts = RankState::default();
                     for msg in transport.take_inbox_tagged(rank, Tag::Halo) {
-                        ghosts.absorb(&msg.batch);
+                        ghosts.extend_from(&msg.batch);
                     }
-                    ghosts.sort_by_id();
+                    sort_by_id(&mut ghosts);
 
                     let mut state = states[rank].lock().unwrap();
                     let (mut acc, interior, interior_pairs) = int_out[rank]
@@ -900,6 +595,9 @@ impl MultiRankSim {
                         .unwrap()
                         .take()
                         .expect("int.r precedes bnd.r");
+                    // Merged candidate list: ids and positions of owned
+                    // + ghost neighbors, ascending id (owned and ghost
+                    // sets are disjoint by construction).
                     let n_own = state.len();
                     let mut cand_ids: Vec<u64> = Vec::with_capacity(n_own + ghosts.len());
                     let mut cand_pos: Vec<[f64; 3]> = Vec::with_capacity(n_own + ghosts.len());
@@ -959,6 +657,22 @@ impl MultiRankSim {
                     .add_dep(id, post_ids[s])
                     .expect("halo posts precede boundary compute in canonical order");
             }
+            bnd_ids.push(id);
+        }
+
+        if !self.async_step {
+            // The phase barriers: no halo is posted before every rank
+            // has absorbed its migrants, and no boundary compute starts
+            // before every rank has flushed its halos.
+            for (later, earlier) in [(&post_ids, &abs_ids), (&bnd_ids, &post_ids)] {
+                for &task in later {
+                    for &dep in earlier {
+                        graph
+                            .add_dep(task, dep)
+                            .expect("phase barriers point backward in canonical order");
+                    }
+                }
+            }
         }
 
         if let Err(e) = graph.run(0, None, recorder.as_ref()) {
@@ -983,50 +697,38 @@ impl MultiRankSim {
             .into_iter()
             .map(|s| s.into_inner().unwrap().expect("post.r ran"))
             .collect();
+        let migrate_report = self.transport.commit(&mig_rep);
+        let halo_report = self.transport.commit(&halo_rep);
 
-        // Modeled async timeline. Each source's flush costs its own
-        // wire seconds; a message is available once its sender's flush
-        // completes. So a rank may absorb at
-        //   absorb_start_r = max(own flush, slowest migrate sender),
-        // its halo flush completes at absorb_start_r + halo flush, and
-        // its ghosts are ready once every halo sender's flush is done —
-        // maxes over the neighborhood instead of the barriered model's
-        // sums over every incident link, which is exactly the wait the
-        // task graph removes from the critical path.
-        let mig_done: Vec<f64> = mig_rep.iter().map(|r| r.seconds).collect();
-        let absorb_start: Vec<f64> = (0..ranks)
-            .map(|r| {
-                let mut t = mig_done[r];
-                for (s, rep) in mig_rep.iter().enumerate() {
-                    if s != r && rep.links.iter().any(|l| l.dst == r) {
-                        t = t.max(mig_done[s]);
-                    }
-                }
-                t
+        let work: Vec<(u64, u64, usize)> = bnd_out
+            .into_iter()
+            .map(|s| s.into_inner().unwrap().expect("bnd.r ran"))
+            .collect();
+        let interior_seconds: Vec<f64> = work
+            .iter()
+            .zip(&self.states)
+            .map(|(&(pairs, _, _), state)| {
+                pairs as f64 * self.pair_seconds + state.len() as f64 * self.particle_seconds
             })
             .collect();
-        let post_done: Vec<f64> = (0..ranks)
-            .map(|r| absorb_start[r] + halo_rep[r].seconds)
-            .collect();
-        let ghost_ready: Vec<f64> = (0..ranks)
-            .map(|r| {
-                // Own post gates the boundary write too (the WAR edge).
-                let mut t = post_done[r];
-                for (s, rep) in halo_rep.iter().enumerate() {
-                    if s != r && rep.links.iter().any(|l| l.dst == r) {
-                        t = t.max(post_done[s]);
-                    }
-                }
-                t
-            })
-            .collect();
+        let timeline = if self.async_step {
+            readiness_timeline(&mig_rep, &halo_rep, &interior_seconds)
+        } else {
+            // Every phase drains at a global join, so a rank is busy
+            // for every link incident on it; its wait is the idle time
+            // at the step join, filled in by `emit_step_stats`.
+            (0..ranks)
+                .map(|r| CommTimeline {
+                    migrate_seconds: migrate_report.rank_seconds(r),
+                    halo_seconds: halo_report.rank_seconds(r),
+                    wait_seconds: 0.0,
+                })
+                .collect()
+        };
 
         let mut per_rank = Vec::with_capacity(ranks);
         let mut ke_parts = Vec::with_capacity(ranks);
-        let mut bytes = 0u64;
-        for (rank, slot) in bnd_out.into_iter().enumerate() {
-            let (interior_pairs, boundary_pairs, n_ghosts) =
-                slot.into_inner().unwrap().expect("bnd.r ran");
+        for (rank, &(interior_pairs, boundary_pairs, n_ghosts)) in work.iter().enumerate() {
             let state = &self.states[rank];
             let mut ke = 0.0f64;
             for k in 0..state.len() {
@@ -1036,30 +738,13 @@ impl MultiRankSim {
             }
             ke_parts.push(ke);
 
-            let interior_seconds = interior_pairs as f64 * self.pair_seconds
-                + state.len() as f64 * self.particle_seconds;
+            let interior_seconds = interior_seconds[rank];
             let boundary_seconds = boundary_pairs as f64 * self.pair_seconds;
-            // The ghost-wait window after absorb; the part interior
-            // compute does not cover is the exposed exchange.
-            let halo_window = (ghost_ready[rank] - absorb_start[rank]).max(0.0);
-            // In-step stalls attributable to *other* ranks: idle
-            // waiting on slower migrate senders, plus idle before
-            // boundary compute while neighbors' ghosts are still in
-            // flight beyond this rank's own busy timeline (own wire
-            // exposure is exchange, not wait — matching the barriered
-            // attribution). The end-of-step tail is not wait here —
-            // the scheduler feeds the rank its next ready task.
-            let ghosts_from_others = halo_rep
-                .iter()
-                .enumerate()
-                .filter(|(s, rep)| *s != rank && rep.links.iter().any(|l| l.dst == rank))
-                .map(|(s, _)| post_done[s])
-                .fold(0.0, f64::max);
-            let own_busy_until = (absorb_start[rank] + interior_seconds).max(post_done[rank]);
-            let wait_seconds = (absorb_start[rank] - mig_done[rank])
-                + (ghosts_from_others - own_busy_until).max(0.0);
-            let sent = mig_rep[rank].bytes + halo_rep[rank].bytes;
-            bytes += sent;
+            let CommTimeline {
+                migrate_seconds,
+                halo_seconds,
+                wait_seconds,
+            } = timeline[rank];
             per_rank.push(RankStepStats {
                 rank,
                 owned: state.len(),
@@ -1068,12 +753,12 @@ impl MultiRankSim {
                 boundary_pairs,
                 interior_seconds,
                 boundary_seconds,
-                halo_seconds: halo_window,
-                migrate_seconds: absorb_start[rank],
-                bytes_sent: sent,
-                overlap_seconds: halo_window.min(interior_seconds),
-                step_seconds: absorb_start[rank]
-                    + halo_window.max(interior_seconds)
+                halo_seconds,
+                migrate_seconds,
+                bytes_sent: mig_rep[rank].bytes + halo_rep[rank].bytes,
+                overlap_seconds: halo_seconds.min(interior_seconds),
+                step_seconds: migrate_seconds
+                    + halo_seconds.max(interior_seconds)
                     + boundary_seconds,
                 wait_seconds,
             });
@@ -1082,9 +767,9 @@ impl MultiRankSim {
             recorder.as_ref(),
             per_rank,
             migrated,
-            bytes,
+            migrate_report.bytes + halo_report.bytes,
             ke_parts,
-            false,
+            !self.async_step,
         ))
     }
 
@@ -1105,7 +790,7 @@ impl MultiRankSim {
         let node_seconds = per_rank.iter().map(|r| r.step_seconds).fold(0.0, f64::max);
         if barrier_wait {
             // The barriered schedule pins every rank at the global
-            // join; the async path passes its in-step stalls instead.
+            // join; the async schedule passes its in-step stalls instead.
             for r in &mut per_rank {
                 r.wait_seconds = (node_seconds - r.step_seconds).max(0.0);
             }
@@ -1245,7 +930,7 @@ impl MultiRankSim {
             }
         }
         for state in &mut states {
-            state.sort_by_id();
+            sort_by_id(state);
         }
         self.layout = layout;
         self.transport = transport;
@@ -1265,6 +950,79 @@ fn rank_state_from(snap: &RankSnapshot) -> RankState {
         h: snap.h.clone(),
         u: snap.u.clone(),
     }
+}
+
+/// One rank's modeled communication timeline within a step.
+#[derive(Clone, Copy, Debug)]
+struct CommTimeline {
+    /// Seconds before the rank can compute on its post-migration state.
+    migrate_seconds: f64,
+    /// The halo window that interior compute may hide.
+    halo_seconds: f64,
+    /// In-step idle seconds attributable to other ranks.
+    wait_seconds: f64,
+}
+
+/// The async schedule's modeled timeline, from per-source readiness.
+///
+/// Each source's flush costs its own wire seconds, and a message is
+/// available once its sender's flush completes. So a rank may absorb at
+///   absorb_start_r = max(own flush, slowest migrate sender),
+/// its halo flush completes at absorb_start_r + halo flush, and its
+/// ghosts are ready once every halo sender's flush is done. These are
+/// maxes over the neighborhood instead of the barriered model's sums
+/// over every incident link, which is exactly the wait the missing
+/// barriers remove from the critical path.
+fn readiness_timeline(
+    mig_rep: &[ExchangeReport],
+    halo_rep: &[ExchangeReport],
+    interior_seconds: &[f64],
+) -> Vec<CommTimeline> {
+    let ranks = mig_rep.len();
+    let sends_to = |rep: &ExchangeReport, r: usize| rep.links.iter().any(|l| l.dst == r);
+    let mig_done: Vec<f64> = mig_rep.iter().map(|r| r.seconds).collect();
+    let absorb_start: Vec<f64> = (0..ranks)
+        .map(|r| {
+            let mut t = mig_done[r];
+            for (s, rep) in mig_rep.iter().enumerate() {
+                if s != r && sends_to(rep, r) {
+                    t = t.max(mig_done[s]);
+                }
+            }
+            t
+        })
+        .collect();
+    let post_done: Vec<f64> = (0..ranks)
+        .map(|r| absorb_start[r] + halo_rep[r].seconds)
+        .collect();
+    (0..ranks)
+        .map(|r| {
+            let ghosts_from_others = halo_rep
+                .iter()
+                .enumerate()
+                .filter(|(s, rep)| *s != r && sends_to(rep, r))
+                .map(|(s, _)| post_done[s])
+                .fold(0.0, f64::max);
+            // Own post gates the boundary write too (the WAR edge).
+            let ghost_ready = post_done[r].max(ghosts_from_others);
+            // In-step stalls attributable to *other* ranks: idle
+            // waiting on slower migrate senders, plus idle before
+            // boundary compute while neighbors' ghosts are still in
+            // flight beyond this rank's own busy timeline (own wire
+            // exposure is exchange, not wait — matching the barriered
+            // attribution). The end-of-step tail is not wait here: the
+            // scheduler feeds the rank its next ready task.
+            let own_busy_until = (absorb_start[r] + interior_seconds[r]).max(post_done[r]);
+            CommTimeline {
+                migrate_seconds: absorb_start[r],
+                // The ghost-wait window after absorb; the part interior
+                // compute does not cover is the exposed exchange.
+                halo_seconds: (ghost_ready - absorb_start[r]).max(0.0),
+                wait_seconds: (absorb_start[r] - mig_done[r])
+                    + (ghosts_from_others - own_busy_until).max(0.0),
+            }
+        })
+        .collect()
 }
 
 /// Accumulates softened-gravity acceleration on one particle over a
@@ -1348,7 +1106,7 @@ mod tests {
         assert!((0.0..=1.0).contains(&stats.overlap_fraction));
         let ghosts: usize = stats.per_rank.iter().map(|r| r.ghosts).sum();
         assert!(ghosts > 0, "ghost zones must populate");
-        assert_eq!(sim.comm_stats().exchanges, 2, "migrate + halo barriers");
+        assert_eq!(sim.comm_stats().exchanges, 2, "migrate + halo phases");
     }
 
     #[test]
@@ -1428,39 +1186,55 @@ mod tests {
                 reference.state_digest(),
                 "{ranks}-rank async run diverged from the barriered bits"
             );
+            assert_eq!(tasked.comm_stats(), reference.comm_stats());
             assert_eq!(tasked.step_count(), 3);
         }
     }
 
     #[test]
-    fn async_schedule_exports_task_telemetry() {
-        let mut sim = MultiRankSim::new(4, GpuArch::aurora(), problem());
-        sim.set_async(true);
-        let rec = Recorder::new();
-        sim.set_recorder(rec.clone());
-        let stats = sim.step().unwrap();
-        let events = rec.events();
-        // 5 task kinds × 4 ranks, one graph per step.
-        assert_eq!(
-            hacc_telemetry::counter_total(&events, "task.nodes"),
-            20.0,
-            "mig/abs/post/int/bnd per rank"
-        );
-        assert!(hacc_telemetry::counter_total(&events, "task.edges") > 0.0);
-        assert_eq!(
-            hacc_telemetry::counter_total(&events, "task.executed"),
-            20.0
-        );
-        // The critical-path pass still reproduces the engine's modeled
-        // node time from the emitted phase timers.
-        let paths = hacc_telemetry::analysis::critical_paths(&events);
-        assert_eq!(paths.len(), 1);
-        assert!((paths[0].node_seconds - stats.node_seconds).abs() < 1e-12);
-        // Per-source flushes replace the two global barriers.
-        assert_eq!(
-            sim.comm_stats().exchanges,
-            8,
-            "one flush per rank per phase"
+    fn both_schedules_run_the_same_step_graph() {
+        use hacc_telemetry::{counter_total, EventKind};
+        let run = |async_on: bool| {
+            let mut sim = MultiRankSim::new(4, GpuArch::aurora(), problem());
+            sim.set_async(async_on);
+            let rec = Recorder::new();
+            sim.set_recorder(rec.clone());
+            let stats = sim.step().unwrap();
+            let events = rec.events();
+            // 5 task kinds × 4 ranks, one graph per step.
+            assert_eq!(
+                counter_total(&events, "task.nodes"),
+                20.0,
+                "mig/abs/post/int/bnd per rank"
+            );
+            assert_eq!(counter_total(&events, "task.executed"), 20.0);
+            // The critical-path pass still reproduces the engine's
+            // modeled node time from the emitted phase timers.
+            let paths = hacc_telemetry::analysis::critical_paths(&events);
+            assert_eq!(paths.len(), 1);
+            assert!((paths[0].node_seconds - stats.node_seconds).abs() < 1e-12);
+            // One flush per rank per phase, nested under the step span
+            // although it ran on a graph worker.
+            let begins = |name: &str| -> Vec<u64> {
+                events
+                    .iter()
+                    .filter(|e| e.kind == EventKind::SpanBegin && e.name == name)
+                    .map(|e| e.parent)
+                    .collect()
+            };
+            let step = events
+                .iter()
+                .find(|e| e.kind == EventKind::SpanBegin && e.name == "step")
+                .unwrap();
+            assert_eq!(begins("comm.exchange"), vec![step.id; 8]);
+            // The flushes commit once per phase.
+            assert_eq!(sim.comm_stats().exchanges, 2, "one commit per phase");
+            counter_total(&events, "task.edges")
+        };
+        let (barriered, tasked) = (run(false), run(true));
+        assert!(
+            barriered > tasked,
+            "phase barriers add edges: {barriered} vs {tasked}"
         );
     }
 

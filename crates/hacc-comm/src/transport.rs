@@ -4,16 +4,20 @@
 //! rayon pool post [`ParticleBatch`] messages into per-source outboxes
 //! (each rank writes only its own, so posting is contention-free and
 //! each source's message order is its own sequential program order).
-//! A single caller then drives [`Transport::exchange`] at the step
-//! barrier: messages are costed on the [`Interconnect`], passed through
-//! the fault injector link by link, and delivered to per-destination
-//! inboxes sorted by `(source, sequence)`. Because the exchange walks
-//! sources in ascending order on one thread, the fault-injector ordinal
-//! sequence — and hence the whole fault schedule and every delivery
-//! order — is identical at any thread count. That is the message-
-//! ordering determinism rule: *rank code may post concurrently, but
-//! ordinals and deliveries are only ever claimed at the serial barrier,
-//! in `(src, seq)` order.*
+//! [`Transport::flush_source`] is the one delivery path: it costs one
+//! source's messages on the [`Interconnect`], passes them through the
+//! fault injector on that source's own channels, and delivers them to
+//! the destination inboxes. Distinct sources may flush concurrently;
+//! consumers always drain inboxes sorted by `(source, sequence)`.
+//! [`Transport::commit`] then folds one phase's per-source reports
+//! into the cumulative [`TransportStats`] in ascending `(src, dst)`
+//! link order, and [`Transport::exchange`] is "flush every source in
+//! ascending order, then commit". That is the message-ordering
+//! determinism rule: *rank code may post and flush concurrently, but
+//! ordinals are claimed per source in program order, deliveries are
+//! consumed in `(src, seq)` order, and the ledger is folded in
+//! canonical link order* — so fault schedules, deliveries and stats
+//! are identical at any thread count and in any flush order.
 
 use crate::fabric::Interconnect;
 use hacc_telemetry::{EventKind, FaultInfo, Recorder};
@@ -88,6 +92,28 @@ impl ParticleBatch {
         self.mass.push(mass);
         self.h.push(h);
         self.u.push(u);
+    }
+
+    /// Appends particle `k` of another batch.
+    pub fn push_from(&mut self, other: &ParticleBatch, k: usize) {
+        self.push(
+            other.ids[k],
+            other.pos[k],
+            other.mom[k],
+            other.mass[k],
+            other.h[k],
+            other.u[k],
+        );
+    }
+
+    /// Appends every particle of another batch, in order.
+    pub fn extend_from(&mut self, other: &ParticleBatch) {
+        self.ids.extend_from_slice(&other.ids);
+        self.pos.extend_from_slice(&other.pos);
+        self.mom.extend_from_slice(&other.mom);
+        self.mass.extend_from_slice(&other.mass);
+        self.h.extend_from_slice(&other.h);
+        self.u.extend_from_slice(&other.u);
     }
 
     /// Serialized size on the wire, header included.
@@ -230,7 +256,7 @@ impl Default for RetryPolicy {
 }
 
 /// Traffic over one directed link during an exchange.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LinkTraffic {
     /// Sending rank.
     pub src: usize,
@@ -246,8 +272,8 @@ pub struct LinkTraffic {
     pub retries: u64,
 }
 
-/// Summary of one [`Transport::exchange`] barrier.
-#[derive(Clone, Debug, Default)]
+/// Summary of one source flush or one committed exchange phase.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ExchangeReport {
     /// Per-directed-link traffic, ascending `(src, dst)`.
     pub links: Vec<LinkTraffic>,
@@ -255,13 +281,38 @@ pub struct ExchangeReport {
     pub messages: u64,
     /// Total wire bytes.
     pub bytes: u64,
-    /// Sum of per-message link seconds.
+    /// Link seconds, summed over `links` in order.
     pub seconds: f64,
     /// Total transient retries.
     pub retries: u64,
 }
 
 impl ExchangeReport {
+    /// Sorts links by `(src, dst)`, merges repeats of one link, and
+    /// folds the totals in that canonical order.
+    fn from_links(mut links: Vec<LinkTraffic>) -> Self {
+        links.sort_by_key(|l| (l.src, l.dst));
+        links.dedup_by(|later, kept| {
+            let same = (later.src, later.dst) == (kept.src, kept.dst);
+            if same {
+                kept.messages += later.messages;
+                kept.bytes += later.bytes;
+                kept.seconds += later.seconds;
+                kept.retries += later.retries;
+            }
+            same
+        });
+        let mut report = Self::default();
+        for l in &links {
+            report.messages += l.messages;
+            report.bytes += l.bytes;
+            report.seconds += l.seconds;
+            report.retries += l.retries;
+        }
+        report.links = links;
+        report
+    }
+
     /// Modeled comm seconds incident on one rank (messages it sent or
     /// received — both ends are busy for the transfer).
     pub fn rank_seconds(&self, rank: usize) -> f64 {
@@ -293,7 +344,8 @@ pub struct TransportStats {
     pub seconds: f64,
     /// Transient retries absorbed.
     pub retries: u64,
-    /// Exchange barriers driven.
+    /// Exchange phases committed: one per [`Transport::commit`] (so one
+    /// per [`Transport::exchange`]), however many sources flushed in it.
     pub exchanges: u64,
 }
 
@@ -404,7 +456,7 @@ impl Transport {
 
     /// Marks a rank dead as of the given step. Its pending and future
     /// messages are dropped, and any message addressed *to* it makes
-    /// the next [`Transport::exchange`] fail with
+    /// the sender's next [`Transport::flush_source`] fail with
     /// [`CommError::RankDead`] — that failure is the detection event
     /// recovery reacts to.
     pub fn mark_dead(&self, rank: usize, step: u64) {
@@ -449,7 +501,7 @@ impl Transport {
 
     /// Posts a message. Safe to call concurrently from distinct source
     /// ranks; each source's messages keep its program order. Delivery
-    /// happens at the next [`Transport::exchange`].
+    /// happens at the source's next [`Transport::flush_source`].
     pub fn send(&self, src: usize, dst: usize, tag: Tag, batch: ParticleBatch) {
         assert!(src < self.ranks && dst < self.ranks, "rank out of range");
         assert_ne!(src, dst, "self-sends are a decomposition bug");
@@ -458,24 +510,76 @@ impl Transport {
 
     /// Drives every posted message to its inbox: the step barrier.
     ///
-    /// Must be called from one thread with no concurrent [`Self::send`]s
-    /// in flight. Sources are drained in ascending rank order, so fault
-    /// ordinals, telemetry, and delivery order are all independent of
-    /// how the posting ranks were scheduled.
+    /// Flushes every source in ascending rank order with
+    /// [`Self::flush_source`], then [`Self::commit`]s the phase. Must be
+    /// called with no concurrent [`Self::send`]s in flight. Stops at the
+    /// first failing source, which leaves the ledger uncommitted and
+    /// the later sources' posts queued.
     pub fn exchange(&self) -> Result<ExchangeReport, CommError> {
+        let reports = (0..self.ranks)
+            .map(|src| self.flush_source(src))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(self.commit(&reports))
+    }
+
+    /// Folds one phase's per-source flush reports into the cumulative
+    /// [`TransportStats`] and returns the merged report.
+    ///
+    /// Links are merged in ascending `(src, dst)` order and the totals
+    /// are folded in that order, so the ledger is the same whatever
+    /// order the flushes ran or finished in. Each commit counts as one
+    /// exchange.
+    pub fn commit(&self, reports: &[ExchangeReport]) -> ExchangeReport {
+        let merged =
+            ExchangeReport::from_links(reports.iter().flat_map(|r| r.links.clone()).collect());
+        let mut stats = self.stats.lock();
+        stats.messages += merged.messages;
+        stats.bytes += merged.bytes;
+        stats.seconds += merged.seconds;
+        stats.retries += merged.retries;
+        stats.exchanges += 1;
+        merged
+    }
+
+    /// Places one message into its destination inbox — at the tail, or
+    /// at a seed-derived position when reorder injection is on.
+    fn deliver(&self, msg: Message) {
+        let reorder = *self.reorder_seed.lock();
+        let mut inbox = self.inboxes[msg.dst].lock();
+        let at = match reorder {
+            Some(seed) => {
+                let key =
+                    mix64(seed ^ mix64((msg.dst as u64) << 32 ^ (msg.src as u64) << 16 ^ msg.seq));
+                (key as usize) % (inbox.len() + 1)
+            }
+            None => inbox.len(),
+        };
+        inbox.insert(at, msg);
+    }
+
+    /// Drains *one* source rank's outbox to the destination inboxes:
+    /// the transport's only delivery path.
+    ///
+    /// Messages are costed on the [`Interconnect`], passed through the
+    /// fault injector, and delivered in the source's post order. Safe
+    /// to call concurrently for **distinct** sources: each source owns
+    /// its outbox, its sequence counter, and (when faults are on) its
+    /// own injector channels (`comm.halo.s<src>` etc.), so the fault
+    /// schedule is the same at any thread count and in any flush
+    /// order. The shared [`TransportStats`] are not touched here; pass
+    /// the phase's reports to [`Self::commit`].
+    ///
+    /// A dead source's posts are dropped without costing the fabric. A
+    /// message to a dead peer fails with [`CommError::RankDead`] naming
+    /// that peer. Timeouts and link failures name the stalled
+    /// `(src, dst)` link.
+    pub fn flush_source(&self, src: usize) -> Result<ExchangeReport, CommError> {
+        assert!(src < self.ranks, "rank out of range");
         let _span = self.recorder.as_ref().map(|r| r.span("comm.exchange"));
         let dead: Vec<Option<u64>> = self.dead.lock().clone();
-        let mut report = ExchangeReport::default();
-        for src in 0..self.ranks {
-            let posted = std::mem::take(&mut *self.outboxes[src].lock());
-            if posted.is_empty() {
-                continue;
-            }
-            if dead[src].is_some() {
-                // A dead sender's posted messages never left the node:
-                // drop them without costing the fabric.
-                continue;
-            }
+        let posted = std::mem::take(&mut *self.outboxes[src].lock());
+        let mut links: Vec<LinkTraffic> = Vec::new();
+        if dead[src].is_none() {
             let mut seq = self.seqs[src].lock();
             for (dst, tag, batch) in posted {
                 if let Some(step) = dead[dst] {
@@ -501,18 +605,14 @@ impl Transport {
                 let bytes = batch.wire_bytes();
                 let seconds = self.fabric.cost(src, dst, bytes);
                 self.charge(src, dst, bytes, seconds);
-                match report
-                    .links
-                    .iter_mut()
-                    .find(|l| l.src == src && l.dst == dst)
-                {
+                match links.iter_mut().find(|l| l.dst == dst) {
                     Some(l) => {
                         l.messages += 1;
                         l.bytes += bytes;
                         l.seconds += seconds;
                         l.retries += retries;
                     }
-                    None => report.links.push(LinkTraffic {
+                    None => links.push(LinkTraffic {
                         src,
                         dst,
                         messages: 1,
@@ -521,10 +621,6 @@ impl Transport {
                         retries,
                     }),
                 }
-                report.messages += 1;
-                report.bytes += bytes;
-                report.seconds += seconds;
-                report.retries += retries;
                 self.deliver(Message {
                     src,
                     dst,
@@ -535,140 +631,20 @@ impl Transport {
                 *seq += 1;
             }
         }
-        report.links.sort_by_key(|l| (l.src, l.dst));
-        let mut stats = self.stats.lock();
-        stats.messages += report.messages;
-        stats.bytes += report.bytes;
-        stats.seconds += report.seconds;
-        stats.retries += report.retries;
-        stats.exchanges += 1;
-        Ok(report)
-    }
-
-    /// Places one message into its destination inbox — at the tail, or
-    /// at a seed-derived position when reorder injection is on.
-    fn deliver(&self, msg: Message) {
-        let reorder = *self.reorder_seed.lock();
-        let mut inbox = self.inboxes[msg.dst].lock();
-        let at = match reorder {
-            Some(seed) => {
-                let key =
-                    mix64(seed ^ mix64((msg.dst as u64) << 32 ^ (msg.src as u64) << 16 ^ msg.seq));
-                (key as usize) % (inbox.len() + 1)
-            }
-            None => inbox.len(),
-        };
-        inbox.insert(at, msg);
-    }
-
-    /// Drains *one* source rank's outbox to the destination inboxes —
-    /// the barrier-free delivery primitive behind the async executor.
-    ///
-    /// Safe to call concurrently for **distinct** sources: each source
-    /// owns its outbox, its sequence counter, and (when faults are on)
-    /// its own injector channels (`comm.halo.s<src>` etc.), so flush
-    /// tasks never race on an ordinal stream and the fault schedule is
-    /// deterministic at any thread count. Dead-rank semantics match
-    /// [`Transport::exchange`]: a dead source's posts are dropped, and
-    /// a message to a dead peer surfaces [`CommError::RankDead`] naming
-    /// the dead rank. Timeouts and link failures name the stalled
-    /// `(src, dst)` link exactly as the barriered path does.
-    pub fn flush_source(&self, src: usize) -> Result<ExchangeReport, CommError> {
-        assert!(src < self.ranks, "rank out of range");
-        let dead: Vec<Option<u64>> = self.dead.lock().clone();
-        let mut report = ExchangeReport::default();
-        let posted = std::mem::take(&mut *self.outboxes[src].lock());
-        if !posted.is_empty() && dead[src].is_none() {
-            let mut seq = self.seqs[src].lock();
-            for (dst, tag, batch) in posted {
-                if let Some(step) = dead[dst] {
-                    if let Some(rec) = self.recorder.as_ref() {
-                        rec.fault(
-                            "fault.rank_dead",
-                            FaultInfo {
-                                kind: "rank-dead".to_string(),
-                                kernel: tag.label().to_string(),
-                                variant: String::new(),
-                                detail: format!(
-                                    "link {src}->{dst}: peer {dst} dead since step {step}"
-                                ),
-                            },
-                            1.0,
-                        );
-                    }
-                    return Err(CommError::RankDead { rank: dst, step });
-                }
-                // Per-source injector channel: each source's ordinal
-                // stream is its own program order, so concurrent
-                // flushes of distinct sources stay deterministic.
-                let channel = format!("{}.s{src}", tag.label());
-                let retries = self.clear_link_on(&channel, src, dst, tag)?;
-                let bytes = batch.wire_bytes();
-                let seconds = self.fabric.cost(src, dst, bytes);
-                self.charge(src, dst, bytes, seconds);
-                match report
-                    .links
-                    .iter_mut()
-                    .find(|l| l.src == src && l.dst == dst)
-                {
-                    Some(l) => {
-                        l.messages += 1;
-                        l.bytes += bytes;
-                        l.seconds += seconds;
-                        l.retries += retries;
-                    }
-                    None => report.links.push(LinkTraffic {
-                        src,
-                        dst,
-                        messages: 1,
-                        bytes,
-                        seconds,
-                        retries,
-                    }),
-                }
-                report.messages += 1;
-                report.bytes += bytes;
-                report.seconds += seconds;
-                report.retries += retries;
-                self.deliver(Message {
-                    src,
-                    dst,
-                    tag,
-                    seq: *seq,
-                    batch,
-                });
-                *seq += 1;
-            }
-        }
-        report.links.sort_by_key(|l| (l.src, l.dst));
-        let mut stats = self.stats.lock();
-        stats.messages += report.messages;
-        stats.bytes += report.bytes;
-        stats.seconds += report.seconds;
-        stats.retries += report.retries;
-        stats.exchanges += 1;
-        Ok(report)
+        Ok(ExchangeReport::from_links(links))
     }
 
     /// Runs one message through the fault injector with bounded retry
     /// under the exchange deadline; returns the number of transient
-    /// retries absorbed.
+    /// retries absorbed. Each source claims ordinals on its own
+    /// channel, so concurrent flushes of distinct sources never share
+    /// an ordinal stream.
     fn clear_link(&self, src: usize, dst: usize, tag: Tag) -> Result<u64, CommError> {
-        self.clear_link_on(tag.label(), src, dst, tag)
-    }
-
-    /// [`Self::clear_link`] on an explicit injector channel (the async
-    /// path claims per-source channels).
-    fn clear_link_on(
-        &self,
-        kernel: &str,
-        src: usize,
-        dst: usize,
-        tag: Tag,
-    ) -> Result<u64, CommError> {
         let Some(injector) = self.injector.as_ref() else {
             return Ok(0);
         };
+        let channel = format!("{}.s{src}", tag.label());
+        let kernel = channel.as_str();
         let mut attempts = 0u32;
         let mut waited_s = 0.0f64;
         loop {
@@ -782,11 +758,9 @@ impl Transport {
     }
 
     /// Drains only the messages of one tag from a rank's inbox, sorted
-    /// by `(src, seq)`; other tags stay queued. The async path uses
-    /// this where the barriered path relied on phase barriers to keep
-    /// migrate and halo traffic from ever sharing an inbox: a fast
-    /// neighbor's halos may arrive while this rank is still absorbing
-    /// migrants, and must not be consumed as migrants.
+    /// by `(src, seq)`; other tags stay queued. Without phase barriers
+    /// a fast neighbor's halos may arrive while this rank is still
+    /// absorbing migrants, and must not be consumed as migrants.
     pub fn take_inbox_tagged(&self, rank: usize, tag: Tag) -> Vec<Message> {
         let mut inbox = self.inboxes[rank].lock();
         let mut taken = Vec::new();
@@ -1031,40 +1005,105 @@ mod tests {
         // The remaining source flushes independently.
         t.flush_source(2).unwrap();
         assert_eq!(t.take_inbox(0).len(), 1);
-        // An empty flush is a no-op that still counts as an exchange.
-        assert_eq!(t.flush_source(3).unwrap().messages, 0);
+        assert_eq!(t.flush_source(3).unwrap().messages, 0, "empty flush");
+        // Flushes leave the ledger alone until the phase is committed.
+        assert_eq!(t.stats(), TransportStats::default());
+    }
+
+    /// One phase of posts over five ranks: three destinations per
+    /// source plus a second message on one link.
+    fn post_phase(t: &Transport, phase: usize) {
+        let tag = if phase == 0 { Tag::Migrate } else { Tag::Halo };
+        for src in 0..5 {
+            for k in 1..=3 {
+                t.send(src, (src + k) % 5, tag, batch(src * 7 + k + phase));
+            }
+            t.send(src, (src + 1) % 5, tag, batch(src + 1));
+        }
+    }
+
+    /// How a phase's sources are flushed before its commit.
+    #[derive(Clone, Copy, Debug)]
+    enum FlushOrder {
+        Exchange,
+        Ascending,
+        Descending,
+        Threads,
     }
 
     #[test]
-    fn flush_sequences_match_the_barriered_exchange() {
-        // Same sends; one transport drains at the barrier, the other
-        // flushes per source in arbitrary source order. Consumers must
-        // see identical (src, seq, payload) streams.
-        let run = |barriered: bool| {
-            let t = transport(4);
-            t.send(2, 0, Tag::Migrate, batch(1));
-            t.send(1, 0, Tag::Migrate, batch(2));
-            if barriered {
-                t.exchange().unwrap();
-            } else {
-                // Flush in non-ascending source order on purpose.
-                t.flush_source(2).unwrap();
-                t.flush_source(1).unwrap();
+    fn the_ledger_is_independent_of_flush_order_and_threads() {
+        let run = |order: FlushOrder, faults: bool| {
+            let mut t = transport(5);
+            if faults {
+                t.enable_fault_injection(FaultConfig {
+                    seed: 33,
+                    transient_rate: 0.3,
+                    ..FaultConfig::default()
+                });
+                t.set_retry_policy(RetryPolicy {
+                    max_retries: 16,
+                    ..RetryPolicy::default()
+                });
             }
-            t.send(1, 0, Tag::Halo, batch(4));
-            t.send(3, 0, Tag::Halo, batch(5));
-            if barriered {
-                t.exchange().unwrap();
-            } else {
-                t.flush_source(3).unwrap();
-                t.flush_source(1).unwrap();
+            let flush_all = |sources: &mut dyn Iterator<Item = usize>| {
+                let reports: Vec<ExchangeReport> =
+                    sources.map(|src| t.flush_source(src).unwrap()).collect();
+                t.commit(&reports)
+            };
+            let mut merged = Vec::new();
+            let mut consumed = Vec::new();
+            for phase in 0..2 {
+                post_phase(&t, phase);
+                merged.push(match order {
+                    FlushOrder::Exchange => t.exchange().unwrap(),
+                    FlushOrder::Ascending => flush_all(&mut (0..5)),
+                    FlushOrder::Descending => flush_all(&mut (0..5).rev()),
+                    FlushOrder::Threads => {
+                        // Reports reach the commit in completion order.
+                        let done = Mutex::new(Vec::new());
+                        std::thread::scope(|scope| {
+                            for src in 0..5 {
+                                let (t, done) = (&t, &done);
+                                scope.spawn(move || {
+                                    let report = t.flush_source(src).unwrap();
+                                    done.lock().push(report);
+                                });
+                            }
+                        });
+                        t.commit(&done.into_inner())
+                    }
+                });
+                for rank in 0..5 {
+                    consumed.extend(
+                        t.take_inbox(rank)
+                            .iter()
+                            .map(|m| (m.src, m.dst, m.seq, m.tag, m.batch.len())),
+                    );
+                }
             }
-            t.take_inbox(0)
-                .iter()
-                .map(|m| (m.src, m.seq, m.batch.len()))
-                .collect::<Vec<_>>()
+            (t.stats(), merged, consumed)
         };
-        assert_eq!(run(true), run(false));
+        for faults in [false, true] {
+            let (stats, merged, consumed) = run(FlushOrder::Exchange, faults);
+            assert_eq!(stats.exchanges, 2, "one tick per committed phase");
+            assert_eq!(stats.messages, 40);
+            assert_eq!(faults, stats.retries > 0, "faults={faults}");
+            let orders = [
+                FlushOrder::Ascending,
+                FlushOrder::Descending,
+                FlushOrder::Threads,
+                FlushOrder::Threads,
+                FlushOrder::Threads,
+            ];
+            for order in orders {
+                let got = run(order, faults);
+                assert_eq!(got.0, stats, "{order:?} ledger (faults={faults})");
+                assert_eq!(got.0.seconds.to_bits(), stats.seconds.to_bits());
+                assert_eq!(got.1, merged, "{order:?} merged reports");
+                assert_eq!(got.2, consumed, "{order:?} deliveries");
+            }
+        }
     }
 
     #[test]
@@ -1183,10 +1222,13 @@ mod tests {
                 let b = t.flush_source(second).unwrap();
                 t.take_inbox(2);
                 assert_eq!(a.messages + b.messages, 2);
+                t.commit(&[a, b]);
             }
             t.stats().retries
         };
-        assert_eq!(run(0, 1), run(1, 0));
+        let retries = run(0, 1);
+        assert!(retries > 0, "a 40% rate over 20 sends must trip");
+        assert_eq!(retries, run(1, 0));
     }
 
     #[test]

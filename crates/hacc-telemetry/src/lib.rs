@@ -312,6 +312,25 @@ impl Recorder {
         SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
     }
 
+    /// The id of the innermost span open on this host thread (0 when
+    /// none): what a worker thread passes to [`Recorder::adopt_parent`].
+    pub fn current_span() -> u64 {
+        Self::current_parent()
+    }
+
+    /// Nests this thread's subsequent events under `parent` — a span
+    /// opened on another thread — until the guard drops. Task-graph
+    /// workers adopt the span open where the graph was run, so spans
+    /// emitted inside task bodies land in the caller's span tree.
+    pub fn adopt_parent(parent: u64) -> AdoptedParent {
+        let depth = SPAN_STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            stack.push(parent);
+            stack.len() - 1
+        });
+        AdoptedParent { depth }
+    }
+
     /// Opens a span nested under the current thread's innermost open
     /// span. Close it by dropping the returned guard.
     pub fn span(&self, name: &str) -> Span {
@@ -494,6 +513,18 @@ impl Drop for Span {
             0.0,
             None,
         );
+    }
+}
+
+/// Guard from [`Recorder::adopt_parent`]; dropping it restores the
+/// thread's span stack to what it was before the adoption.
+pub struct AdoptedParent {
+    depth: usize,
+}
+
+impl Drop for AdoptedParent {
+    fn drop(&mut self) {
+        SPAN_STACK.with(|s| s.borrow_mut().truncate(self.depth));
     }
 }
 
@@ -683,6 +714,38 @@ mod tests {
             .map(|e| e.value)
             .sum();
         assert_eq!(total, (0..64).sum::<u64>() as f64);
+    }
+
+    #[test]
+    fn adopted_parents_nest_other_threads_spans() {
+        let rec = Recorder::new();
+        let outer = rec.span("outer");
+        let outer_id = Recorder::current_span();
+        assert_eq!(outer_id, outer.id());
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                assert_eq!(Recorder::current_span(), 0, "fresh thread");
+                {
+                    let _nest = Recorder::adopt_parent(outer_id);
+                    let _task = rec.span("task");
+                    rec.counter("work", 1.0);
+                }
+                assert_eq!(Recorder::current_span(), 0, "guard restores");
+                let _late = rec.span("late");
+            });
+        });
+        drop(outer);
+        let events = rec.events();
+        let begin = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.kind == EventKind::SpanBegin && e.name == name)
+                .unwrap()
+        };
+        assert_eq!(begin("task").parent, outer_id);
+        let work = events.iter().find(|e| e.name == "work").unwrap();
+        assert_eq!(work.parent, begin("task").id);
+        assert_eq!(begin("late").parent, 0);
     }
 
     #[test]

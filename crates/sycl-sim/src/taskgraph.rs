@@ -402,6 +402,9 @@ impl<'env, E: Send + 'env> TaskGraph<'env, E> {
         let deadline = watchdog.map(|d| started + d);
         let first_error: Mutex<Option<(TaskId, E)>> = Mutex::new(None);
 
+        // Task bodies nest their spans under the span open here, so a
+        // graph run stays one subtree of the caller's trace.
+        let caller_span = Recorder::current_span();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -452,7 +455,10 @@ impl<'env, E: Send + 'env> TaskGraph<'env, E> {
                         .take()
                         .expect("task claimed exactly once");
                     let t0 = Instant::now();
-                    let result = body();
+                    let result = {
+                        let _nest = Recorder::adopt_parent(caller_span);
+                        body()
+                    };
                     let busy = t0.elapsed().as_secs_f64();
 
                     let mut st = state.lock().unwrap();
@@ -684,5 +690,29 @@ mod tests {
         assert_eq!(hacc_telemetry::counter_total(&events, "task.nodes"), 2.0);
         assert_eq!(hacc_telemetry::counter_total(&events, "task.edges"), 1.0);
         assert_eq!(hacc_telemetry::counter_total(&events, "task.executed"), 2.0);
+    }
+
+    #[test]
+    fn task_spans_nest_under_the_callers_span() {
+        let rec = Recorder::new();
+        let step = rec.span("step");
+        let mut g: TaskGraph<'_, Boom> = TaskGraph::new();
+        for i in 0..4 {
+            let rec = &rec;
+            g.add_task(format!("t{i}"), &[], &[], move || {
+                let _s = rec.span("body");
+                Ok(())
+            });
+        }
+        g.run(4, None, None).unwrap();
+        let step_id = step.id();
+        drop(step);
+        let bodies: Vec<u64> = rec
+            .events()
+            .iter()
+            .filter(|e| e.kind == hacc_telemetry::EventKind::SpanBegin && e.name == "body")
+            .map(|e| e.parent)
+            .collect();
+        assert_eq!(bodies, vec![step_id; 4]);
     }
 }
